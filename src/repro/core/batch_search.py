@@ -618,8 +618,8 @@ class BatchChunkSearcher:
         if min_sq is None:
             min_sq = float(sq_distances.min()) if sq_distances.size else math.inf
         # A chunk whose best candidate cannot beat the current k-th
-        # neighbor admits nothing; skip the heap walk (and the row's
-        # square root) entirely.  math.sqrt and np.sqrt are both IEEE
+        # neighbor admits nothing; skip the neighbor-set update (and the
+        # row's square root) entirely.  math.sqrt and np.sqrt are both IEEE
         # correctly-rounded, so the scalar gate compares the same float
         # the old sqrt-the-whole-row code produced.
         min_d = math.sqrt(min_sq)
@@ -721,8 +721,8 @@ class BatchChunkSearcher:
         exactly like :meth:`_process_chunk_for_state` — same simulated
         timing recurrence, same trace event — but the chunk provably
         admits no candidate (its lower bound strictly exceeds the k-th
-        distance), so the store read, distance kernel and heap update are
-        skipped on the host."""
+        distance), so the store read, distance kernel and neighbor-set
+        update are skipped on the host."""
         extra_io_s = outcome.extra_io_s if outcome is not None else 0.0
         if state.simulator is not None:
             elapsed = state.simulator.process_chunk(
@@ -791,7 +791,8 @@ class BatchChunkSearcher:
         checks at all:
 
         * The neighbor set is full (a finite k-th distance is what let
-          the caller prune), so nothing downstream of the heap changes.
+          the caller prune), so nothing downstream of the neighbor set
+          changes.
         * The completion proof cannot fire mid-run.  The state entered
           with ``suffix_min[rank0] <= kth`` (otherwise the previous
           event's proof would have finished it), so a chunk with

@@ -162,8 +162,10 @@ def top_k_smallest(values: np.ndarray, k: int) -> np.ndarray:
         return np.argsort(values, kind="stable")
     # argpartition would be O(n), but its choice among values tied with the
     # k-th is arbitrary, breaking index-order determinism on ties; the
-    # stable full sort guarantees (value, index) order.  This function is
-    # not on the per-chunk hot path (NeighborSet is), so O(n log n) is fine.
+    # stable full sort guarantees (value, index) order.  The per-chunk hot
+    # path (NeighborSet.update) keeps O(n) selection another way: it cuts
+    # with np.partition at the k-th value, keeping every tie, and sorts
+    # only the survivors.  Off that path, O(n log n) is fine here.
     return np.argsort(values, kind="stable")[:k]
 
 

@@ -8,14 +8,14 @@ neighbors" while scanning chunks and needs two operations on it:
   completion test (stop when the minimum distance to the next chunk exceeds
   the distance to the k-th neighbor).
 
-:class:`NeighborSet` implements this as a bounded max-heap keyed on
-distance, with deterministic tie-breaking on descriptor id so that
-intermediate-result precision measurements are reproducible.
+:class:`NeighborSet` keeps the k best entries as arrays sorted by
+``(distance, id)`` and folds each chunk in with one vectorized merge; the
+tie-break on descriptor id keeps intermediate-result precision
+measurements reproducible.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import AbstractSet, List, Sequence, Tuple
 
@@ -77,31 +77,32 @@ def merge_neighbor_lists(
 class NeighborSet:
     """The k best neighbors seen so far.
 
-    Maintains a max-heap of at most ``k`` entries so that the worst current
-    neighbor can be evicted in O(log k) when a better candidate arrives.
-    Candidates that tie the current worst on distance are admitted only if
-    their id is smaller, matching the deterministic ordering used by
-    :func:`repro.core.distance.top_k_smallest` for ground truth.
+    Holds at most ``k`` entries as two parallel arrays — float64 distances
+    and int64 ids — sorted by ``(distance, id)``, the same deterministic
+    order :func:`repro.core.distance.top_k_smallest` uses for ground truth.
+    Because that order is total, the k best of everything offered (duplicate
+    ids included) are unique, so a whole chunk can be admitted with one
+    vectorized merge instead of a per-candidate walk.
     """
 
     def __init__(self, k: int):
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         self.k = k
-        # Heap entries are (-distance, -id): Python's min-heap then pops the
-        # largest distance first, with larger ids evicted before smaller
-        # ones on distance ties.
-        self._heap: List[Tuple[float, int]] = []
+        self._distances = np.empty(0, dtype=np.float64)
+        self._ids = np.empty(0, dtype=np.int64)
+        # Distance of the k-th entry, as a Python float; inf until full.
+        self._kth = math.inf
 
     # -- inspection ---------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return self._ids.shape[0]
 
     @property
     def is_full(self) -> bool:
         """True once k neighbors have been collected."""
-        return len(self._heap) >= self.k
+        return self._ids.shape[0] >= self.k
 
     @property
     def kth_distance(self) -> float:
@@ -110,50 +111,40 @@ class NeighborSet:
         Infinite while the set is not yet full, so every candidate is
         admitted during warm-up and the completion test never fires early.
         """
-        if not self.is_full:
-            return math.inf
-        return -self._heap[0][0]
+        return self._kth
 
     def ids(self) -> np.ndarray:
         """Descriptor ids (int64) of the current neighbors, best first."""
-        return np.asarray([n.descriptor_id for n in self.sorted()], dtype=np.int64)
+        return self._ids.copy()
 
     def sorted(self) -> List[Neighbor]:
         """Current neighbors ordered by (distance, id), best first."""
-        items = sorted((-d, -i) for d, i in self._heap)
-        return [Neighbor(d, i) for d, i in items]
+        return [
+            Neighbor(d, i)
+            for d, i in zip(self._distances.tolist(), self._ids.tolist())
+        ]
 
     # -- updates ------------------------------------------------------------
-
-    def _admits(self, distance: float, descriptor_id: int) -> bool:
-        if not self.is_full:
-            return True
-        worst_d, worst_neg_id = -self._heap[0][0], self._heap[0][1]
-        if distance < worst_d:
-            return True
-        return distance == worst_d and -descriptor_id > worst_neg_id
 
     # repro: exact
     def offer(self, distance: float, descriptor_id: int) -> bool:
         """Offer one candidate; returns True if it entered the set."""
-        distance = float(distance)
-        descriptor_id = int(descriptor_id)
-        if not self._admits(distance, descriptor_id):
-            return False
-        entry = (-distance, -descriptor_id)
-        if self.is_full:
-            heapq.heapreplace(self._heap, entry)
-        else:
-            heapq.heappush(self._heap, entry)
-        return True
+        distances = np.array([distance], dtype=np.float64)
+        ids = np.array([descriptor_id], dtype=np.int64)
+        return self.update(distances, ids) == 1
 
     # repro: exact
     def update(self, distances: np.ndarray, descriptor_ids: np.ndarray) -> int:
         """Bulk-offer a chunk's worth of candidates; returns how many entered.
 
-        This is the per-chunk hot path: it first filters candidates against
-        the current k-th distance with one vectorized comparison, then walks
-        only the survivors through the heap.
+        This is the per-chunk hot path.  Once the set is full, candidates
+        farther than the current k-th distance are dropped with one
+        vectorized comparison (ties pass: a smaller id can still enter).
+        If more than ``k`` remain, those beyond the k-th smallest candidate
+        distance are cut, ties with the cut kept.  One stable lexsort of the
+        held entries followed by the survivors then yields the new k best.
+        Held entries sort before identical candidates, so a candidate equal
+        to the worst held entry is rejected: entering takes strictly better.
         """
         distances = np.asarray(distances, dtype=np.float64)
         descriptor_ids = np.asarray(descriptor_ids, dtype=np.int64)
@@ -161,37 +152,40 @@ class NeighborSet:
             raise ValueError(
                 f"distances shape {distances.shape} != ids shape {descriptor_ids.shape}"
             )
-        threshold = self.kth_distance
-        if math.isinf(threshold):
-            candidates = np.arange(distances.shape[0])
-        else:
-            candidates = np.nonzero(distances <= threshold)[0]
-        if candidates.size == 0:
+        k = self.k
+        held = self._ids.shape[0]
+        if held >= k:
+            rows = np.nonzero(distances <= self._kth)[0]
+            if not rows.size:
+                return 0
+            distances = distances[rows]
+            descriptor_ids = descriptor_ids[rows]
+        elif not distances.size:
             return 0
-        # Process best-first so the threshold tightens as fast as possible.
-        order = candidates[
-            np.lexsort((descriptor_ids[candidates], distances[candidates]))
-        ]
-        admitted = 0
-        for row in order:
-            d = float(distances[row])
-            if d > self.kth_distance:
-                break  # sorted ascending: nothing later can enter
-            if self.offer(d, int(descriptor_ids[row])):
-                admitted += 1
-        return admitted
+        if distances.shape[0] > k:
+            cut = np.partition(distances, k - 1)[k - 1]
+            rows = np.nonzero(distances <= cut)[0]
+            distances = distances[rows]
+            descriptor_ids = descriptor_ids[rows]
+        all_distances = np.concatenate((self._distances, distances))
+        all_ids = np.concatenate((self._ids, descriptor_ids))
+        best = np.lexsort((all_ids, all_distances))[:k]
+        self._distances = all_distances[best]
+        self._ids = all_ids[best]
+        if best.shape[0] == k:
+            self._kth = float(self._distances[-1])
+        return int(np.count_nonzero(best >= held))
 
     # repro: exact
     def merge(self, other: "NeighborSet") -> None:
         """Fold another neighbor set into this one."""
-        for neighbor in other.sorted():
-            self.offer(neighbor.distance, neighbor.descriptor_id)
+        self.update(other._distances, other._ids)
 
     # -- set-style helpers ----------------------------------------------------
 
     def id_set(self) -> set:
         """Current neighbor ids as a Python set (for precision counting)."""
-        return {-i for _, i in self._heap}
+        return set(self._ids.tolist())
 
     def true_match_count(self, truth: AbstractSet[int]) -> int:
         """How many current neighbor ids appear in ``truth`` (a set).
@@ -203,7 +197,7 @@ class NeighborSet:
         return len(self.id_set() & truth)
 
     def __contains__(self, descriptor_id: int) -> bool:
-        return -int(descriptor_id) in {i for _, i in self._heap}
+        return int(descriptor_id) in self._ids.tolist()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NeighborSet(k={self.k}, size={len(self)}, kth={self.kth_distance:.6g})"

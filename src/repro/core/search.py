@@ -74,7 +74,7 @@ class SearchResult:
         result: a pruned chunk is charged identical simulated time and
         logged with an identical trace event — it provably could not have
         altered the neighbor set, so only the wall-clock work (store read,
-        distance kernel, heap update) is skipped.
+        distance kernel, neighbor-set update) is skipped.
     """
 
     neighbors: List[Neighbor]

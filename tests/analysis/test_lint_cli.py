@@ -35,10 +35,9 @@ SEEDED_VIOLATIONS = {
 
 
 class TestShippedTreeIsClean:
-    def test_smoke_lint_tree(self):
-        result = lint_tree(package_root())
-        assert result.ok, "\n".join(d.format() for d in result)
-        assert result.checked_files > 50
+    def test_smoke_lint_tree(self, shipped_lint):
+        assert shipped_lint.ok, "\n".join(d.format() for d in shipped_lint)
+        assert shipped_lint.checked_files > 50
 
     def test_smoke_repro_lint_exit_zero(self, capsys):
         assert repro_main(["lint"]) == 0
@@ -92,9 +91,8 @@ class TestNewModulesAreCovered:
         shutil.copytree(package_root(), target)
         return target
 
-    def test_new_modules_are_walked(self):
-        result = lint_tree(package_root())
-        assert result.ok
+    def test_new_modules_are_walked(self, shipped_lint):
+        assert shipped_lint.ok
         walked = {
             os.path.join(root, name)
             for root, _, names in os.walk(package_root())

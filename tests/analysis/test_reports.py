@@ -86,7 +86,7 @@ class TestBaseline:
         assert analysis_main([root, "--baseline", baseline, "--no-baseline"]) == 1
         assert "time.time" in capsys.readouterr().out
 
-    def test_shipped_tree_needs_no_baseline(self):
+    def test_shipped_tree_needs_no_baseline(self, shipped_lint):
         # The acceptance criterion: src/repro lints clean with no
         # baseline file at all.
         assert not os.path.exists(
@@ -95,7 +95,7 @@ class TestBaseline:
                 ".repro-lint-baseline.json",
             )
         )
-        assert lint_tree(package_root()).ok
+        assert shipped_lint.ok
 
 
 class TestSarif:

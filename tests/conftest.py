@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,23 @@ from repro.workloads.synthetic import SyntheticImageConfig, generate_collection
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def fail_directory_fsync(monkeypatch):
+    """Install an ``os.fsync`` that raises ``OSError(code)`` on directory
+    handles and syncs regular files as usual; returns the installer."""
+    real_fsync = os.fsync
+
+    def install(code: int) -> None:
+        def fsync(fd: int) -> None:
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                raise OSError(code, os.strerror(code))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+
+    return install
 
 
 @pytest.fixture()

@@ -12,6 +12,7 @@ and the chunk cache all enabled.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import os
 
 import numpy as np
@@ -285,6 +286,31 @@ class TestValidation:
         index.close()
         with StreamingChunkIndex.open(directory) as recovered:
             assert int(rest_ids[0]) not in recovered.maintainer
+
+    def test_directory_fsync_eio_fails_checkpoint_and_poisons(
+        self, tiny_collection, tmp_path, fail_directory_fsync
+    ):
+        base, rest_ids, rest_vectors = _halves(tiny_collection)
+        directory = str(tmp_path / "stream")
+        StreamingChunkIndex.create(directory, _base_index(base)).close()
+        index = StreamingChunkIndex.open(directory)
+        index.apply([insert_op(int(rest_ids[0]), rest_vectors[0])])
+        fail_directory_fsync(errno.EIO)
+        with pytest.raises(OSError) as raised:
+            index.checkpoint()
+        assert raised.value.errno == errno.EIO
+        with pytest.raises(ValueError, match="poisoned"):
+            index.apply([insert_op(int(rest_ids[1]), rest_vectors[1])])
+        index.close()
+        fail_directory_fsync(errno.EINVAL)
+        with StreamingChunkIndex.open(directory) as recovered:
+            # The acknowledged batch survives the failed checkpoint.
+            assert int(rest_ids[0]) in recovered.maintainer
+            assert int(rest_ids[1]) not in recovered.maintainer
+            # A filesystem that cannot sync directories still checkpoints.
+            recovered.checkpoint()
+        report = verify_streaming_index(directory)
+        assert report["ok"], report
 
     def test_closed_index_rejects_mutation(self, populated):
         directory, _ = populated

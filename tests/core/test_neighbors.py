@@ -1,5 +1,6 @@
 """Unit and property tests for the bounded neighbor set."""
 
+import heapq
 import math
 
 import numpy as np
@@ -60,12 +61,21 @@ class TestNeighborSet:
         rng = np.random.default_rng(0)
         distances = rng.random(100)
         ids = rng.permutation(100)
-        bulk = NeighborSet(10)
-        bulk.update(distances, ids)
-        single = NeighborSet(10)
-        for d, i in zip(distances, ids):
-            single.offer(d, i)
-        assert bulk.sorted() == single.sorted()
+        tied = np.round(distances * 4) / 4
+        # Random inputs, distance ties with differing ids, repeated ids (as
+        # overlapping chunkers produce) and repeated (distance, id) pairs.
+        for d_case, i_case in [
+            (distances, ids),
+            (tied, ids),
+            (distances, ids % 13),
+            (tied, ids % 5),
+        ]:
+            bulk = NeighborSet(10)
+            bulk.update(d_case, i_case)
+            single = NeighborSet(10)
+            for d, i in zip(d_case, i_case):
+                single.offer(d, i)
+            assert bulk.sorted() == single.sorted()
 
     def test_update_returns_admitted_count(self):
         ns = NeighborSet(3)
@@ -133,6 +143,111 @@ class TestNeighborSet:
             assert math.isinf(ns.kth_distance)
         else:
             assert ns.kth_distance == max(n.distance for n in ns.sorted())
+
+
+class HeapReference:
+    """Heap-based admission: a max-heap of ``(-distance, -id)`` whose root,
+    the worst entry, is replaced by any candidate strictly better under
+    ``(distance, id)``.  The oracle for the array-backed set."""
+
+    def __init__(self, k):
+        self.k = k
+        self.heap = []
+
+    def __len__(self):
+        return len(self.heap)
+
+    @property
+    def kth_distance(self):
+        return -self.heap[0][0] if len(self.heap) >= self.k else math.inf
+
+    def offer(self, distance, descriptor_id):
+        entry = (-float(distance), -int(descriptor_id))
+        if len(self.heap) < self.k:
+            heapq.heappush(self.heap, entry)
+            return True
+        if entry > self.heap[0]:
+            heapq.heapreplace(self.heap, entry)
+            return True
+        return False
+
+    def update(self, pairs):
+        return sum(self.offer(d, i) for d, i in sorted(pairs))
+
+    def merge(self, other):
+        for d, i in other.sorted():
+            self.offer(d, i)
+
+    def sorted(self):
+        return sorted((-d, -i) for d, i in self.heap)
+
+    def id_set(self):
+        return {-i for _, i in self.heap}
+
+
+# Few distinct distances and ids, so ties with differing ids, repeated ids
+# (as overlapping chunkers produce) and identical pairs are all common.
+_pair = st.tuples(
+    st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0, 2.0, 100.0]), st.integers(0, 12)
+)
+_op = st.one_of(
+    st.tuples(st.just("update"), st.lists(_pair, max_size=30)),
+    st.tuples(st.just("offer"), _pair),
+    st.tuples(st.just("merge"), st.lists(_pair, max_size=12)),
+)
+
+
+class TestAgainstHeapReference:
+    @given(st.integers(1, 8), st.lists(_op, min_size=1, max_size=25))
+    @settings(max_examples=300, deadline=None)
+    def test_random_operation_sequences(self, k, ops):
+        ns = NeighborSet(k)
+        ref = HeapReference(k)
+        for kind, arg in ops:
+            if kind == "update":
+                distances = np.array([d for d, _ in arg], dtype=np.float64)
+                ids = np.array([i for _, i in arg], dtype=np.int64)
+                assert ns.update(distances, ids) == ref.update(arg)
+            elif kind == "offer":
+                assert ns.offer(*arg) is ref.offer(*arg)
+            else:
+                other, other_ref = NeighborSet(k), HeapReference(k)
+                for d, i in arg:
+                    other.offer(d, i)
+                    other_ref.offer(d, i)
+                assert other.sorted() == other_ref.sorted()
+                assert ns.merge(other) is None
+                ref.merge(other_ref)
+            assert [tuple(n) for n in ns.sorted()] == ref.sorted()
+            assert ns.kth_distance == ref.kth_distance
+            assert len(ns) == len(ref)
+            assert ns.id_set() == ref.id_set()
+            assert ns.ids().dtype == np.int64
+
+    def test_warm_up_larger_than_k_with_ties_at_the_cut(self):
+        ns, ref = NeighborSet(3), HeapReference(3)
+        pairs = [(1.0, 9), (0.5, 4), (1.0, 2), (1.0, 7), (2.0, 1), (0.5, 8)]
+        distances = np.array([d for d, _ in pairs])
+        ids = np.array([i for _, i in pairs])
+        assert ns.update(distances, ids) == ref.update(pairs) == 3
+        assert [tuple(n) for n in ns.sorted()] == [(0.5, 4), (0.5, 8), (1.0, 2)]
+        assert ns.kth_distance == 1.0
+
+    def test_empty_and_all_rejected_updates_admit_nothing(self):
+        ns = NeighborSet(2)
+        assert ns.update(np.empty(0), np.empty(0, dtype=np.int64)) == 0
+        ns.update(np.array([1.0, 2.0]), np.array([1, 2]))
+        before = ns.sorted()
+        assert ns.update(np.array([3.0, 2.0]), np.array([0, 5])) == 0
+        assert ns.update(np.empty(0), np.empty(0, dtype=np.int64)) == 0
+        assert ns.sorted() == before
+
+    def test_identical_to_worst_is_rejected(self):
+        ns = NeighborSet(2)
+        ns.update(np.array([1.0, 2.0]), np.array([1, 2]))
+        assert not ns.offer(2.0, 2)
+        assert ns.update(np.array([1.0, 1.0]), np.array([1, 1])) == 1
+        assert [tuple(n) for n in ns.sorted()] == [(1.0, 1), (1.0, 1)]
 
 
 class TestMergeNeighborLists:

@@ -1,6 +1,7 @@
 """Corruption coverage: bit flips, truncations, crash remnants, and the
 atomic-write / poisoned-writer machinery across all three file formats."""
 
+import errno
 import io
 import os
 import struct
@@ -10,7 +11,7 @@ import pytest
 
 from repro.core.chunk import ChunkMeta
 from repro.core.dataset import DescriptorCollection
-from repro.storage.atomic import atomic_output
+from repro.storage.atomic import atomic_output, fsync_directory
 from repro.storage.chunk_file import (
     CHUNK_MAGIC,
     ChunkFileReader,
@@ -206,6 +207,30 @@ class TestAtomicOutput:
                 raise RuntimeError("boom")
         assert not os.path.exists(path)
         assert not os.path.exists(path + ".tmp")
+
+
+class TestFsyncDirectory:
+    def test_syncs_a_real_directory(self, tmp_path):
+        fsync_directory(tmp_path)
+
+    def test_eio_propagates(self, tmp_path, fail_directory_fsync):
+        fail_directory_fsync(errno.EIO)
+        with pytest.raises(OSError) as raised:
+            fsync_directory(tmp_path)
+        assert raised.value.errno == errno.EIO
+
+    @pytest.mark.parametrize(
+        "name", [n for n in ("EINVAL", "ENOTSUP", "EOPNOTSUPP") if hasattr(errno, n)]
+    )
+    def test_cannot_sync_directory_is_tolerated(
+        self, tmp_path, fail_directory_fsync, name
+    ):
+        fail_directory_fsync(getattr(errno, name))
+        fsync_directory(tmp_path)
+
+    def test_missing_directory_propagates(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            fsync_directory(tmp_path / "absent")
 
 
 def make_collection(n=30, dims=4):
