@@ -14,7 +14,7 @@ both running every query to completion at the default benchmark scale:
     unpruned engine.
 
 ``batched``
-    The whole query set in one ``search_batch`` call.  The chunk-major
+    The whole query set in one ``search_batch`` call.  The per-chunk
     cohort kernel already amortizes each chunk's read and scan across
     every query in the batch, so pruning saves only per-event bookkeeping
     here — reported to document that the two optimizations compose rather

@@ -4,9 +4,9 @@ A :class:`FaultPlan` is a *pure function* from ``(query_id, chunk_id,
 attempt)`` to a fault decision, derived from an explicit seed via
 :class:`numpy.random.SeedSequence`.  Nothing here depends on call order,
 wall-clock time, or process state, which is what makes fault-injection
-runs reproducible to the bit: the sequential searcher, the chunk-major
-batch engine, and a re-run tomorrow all see exactly the same faults for
-the same ``(seed, query, chunk)`` triple.
+runs reproducible to the bit: a query run alone, the same query inside a
+batch, and a re-run tomorrow all see exactly the same faults for the
+same ``(seed, query, chunk)`` triple.
 
 Fault taxonomy (mirroring what real chunk storage exhibits):
 
@@ -28,6 +28,7 @@ skipped chunk pays all ``max_retries + 1`` failed reads.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any, Tuple
 
 import numpy as np
@@ -97,10 +98,12 @@ class ChunkFaultOutcome:
     extra_io_s: float
     spiked: bool
 
-    @property
+    @functools.cached_property
     def retries(self) -> int:
         """Attempts beyond the first (0 when no read was ever attempted,
-        e.g. a chunk skipped by an open circuit breaker)."""
+        e.g. a chunk skipped by an open circuit breaker).  Cached: the
+        search engine reads it for every trace event, most often from the
+        shared :data:`OK_OUTCOME`."""
         return max(0, self.attempts - 1)
 
     @property
@@ -213,9 +216,8 @@ class FaultPlan:
         """``n`` uniforms in [0, 1) (float64) for one keyed decision site.
 
         The key is ``(seed, stream, a, b)``; results are independent of
-        call order and of every other key — the property that lets the
-        chunk-major batch engine reproduce the sequential searcher's
-        faults exactly.
+        call order and of every other key — the property that lets a batch
+        reproduce a one-query-at-a-time run's faults exactly.
         """
         ss = np.random.SeedSequence(entropy=(self.seed, stream, a, b))
         words = ss.generate_state(n, dtype=np.uint64)

@@ -235,7 +235,12 @@ class TestBatchSearchResult:
         batch = BatchChunkSearcher(index).search_batch(query, k=3)
         assert len(batch) == 1
         want = ChunkSearcher(index).search(query, k=3)
-        assert_equivalent(batch, [want])
+        # A batch of one runs the lone-query path: equal to the bit.
+        got = batch[0]
+        np.testing.assert_array_equal(got.neighbor_ids(), want.neighbor_ids())
+        assert got.neighbors == want.neighbors
+        assert got.stop_reason == want.stop_reason
+        assert got.trace == want.trace
 
 
 class TestValidation:

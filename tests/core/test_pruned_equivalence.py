@@ -75,6 +75,13 @@ def assert_results_identical(got, want):
     assert got.trace.events == want.trace.events
 
 
+def lone_batch(searcher, query, query_index=0, **kwargs):
+    """A batch of one: the lone-query path, reached through search_batch."""
+    return searcher.search_batch(
+        query[np.newaxis, :], query_indices=[query_index], **kwargs
+    )[0]
+
+
 def assert_batches_identical(got, want):
     assert len(got) == len(want)
     for got_result, want_result in zip(got, want):
@@ -114,7 +121,11 @@ def assert_results_equivalent(got, want):
 
 
 class TestPrunedEquivalence:
-    """Pruned scan == unpruned scan, to the bit, everywhere."""
+    """Pruned scan == unpruned scan, to the bit, everywhere.
+
+    The sequential tests also pin the lone-query path: ``search`` and a
+    batch of one run the same direct-form kernels, so they agree to the
+    bit in either prune mode."""
 
     @pytest.mark.parametrize("chunker_name", sorted(CHUNKER_FACTORIES))
     def test_sequential_engine(self, tiny_collection, chunker_name):
@@ -122,11 +133,16 @@ class TestPrunedEquivalence:
         queries = make_queries(12, tiny_collection.dimensions)
         plain = ChunkSearcher(index, prune=False)
         pruned = ChunkSearcher(index, prune=True)
+        batches = {p: BatchChunkSearcher(index, prune=p) for p in (False, True)}
         for query in queries:
             want = plain.search(query, k=7)
             got = pruned.search(query, k=7)
             assert_results_identical(got, want)
             assert want.chunks_pruned == 0
+            for prune, lone in ((False, want), (True, got)):
+                one = lone_batch(batches[prune], query, k=7)
+                assert_results_identical(one, lone)
+                assert one.chunks_pruned == lone.chunks_pruned
 
     @pytest.mark.parametrize("chunker_name", sorted(CHUNKER_FACTORIES))
     def test_batch_engine(self, tiny_collection, chunker_name):
@@ -158,10 +174,16 @@ class TestPrunedEquivalence:
         queries = make_queries(8, tiny_collection.dimensions)
         plain = ChunkSearcher(index, prune=False)
         pruned = ChunkSearcher(index, prune=True)
+        batches = {p: BatchChunkSearcher(index, prune=p) for p in (False, True)}
         for i, query in enumerate(queries):
             want = plain.search(query, k=5, faults=injector(rate), query_index=i)
             got = pruned.search(query, k=5, faults=injector(rate), query_index=i)
             assert_results_identical(got, want)
+            for prune, lone in ((False, want), (True, got)):
+                one = lone_batch(
+                    batches[prune], query, k=5, faults=injector(rate), query_index=i
+                )
+                assert_results_identical(one, lone)
 
     @pytest.mark.parametrize("chunker_name", ["srtree", "bag"])
     @pytest.mark.parametrize("rate", [0.0, 0.25])
@@ -198,10 +220,15 @@ class TestPrunedEquivalence:
         index = build_chunk_index(result.retained, result.chunk_set)
         queries = make_queries(16, small_synthetic.dimensions, seed=5)
         searcher = BatchChunkSearcher(index)
-        serial = searcher.search_batch(queries, k=10)
-        threaded = searcher.search_batch(queries, k=10, workers=4)
-        assert_batches_identical(threaded, serial)
-        assert serial.total_chunks_pruned == threaded.total_chunks_pruned
+        # (n_queries, workers): the later cases would leave a shard with a
+        # single query, whose scan kernel rounds differently from the
+        # cohort's — the engine must never cut shards that small.
+        for n_queries, workers in [(16, 4), (8, 8), (5, 4), (3, 2)]:
+            batch = queries[:n_queries]
+            serial = searcher.search_batch(batch, k=10)
+            threaded = searcher.search_batch(batch, k=10, workers=workers)
+            assert_batches_identical(threaded, serial)
+            assert serial.total_chunks_pruned == threaded.total_chunks_pruned
 
 
 class TestRouterEquivalence:
@@ -215,15 +242,23 @@ class TestRouterEquivalence:
         queries = make_queries(10, tiny_collection.dimensions)
         flat = ChunkSearcher(index, rank_by=rank_by)
         routed = ChunkSearcher(index, rank_by=rank_by, router=router)
+        batches = [
+            BatchChunkSearcher(index, rank_by=rank_by, router=r)
+            for r in (None, router)
+        ]
         for query in queries:
-            assert_results_identical(
-                routed.search(query, k=6), flat.search(query, k=6)
-            )
+            want = flat.search(query, k=6)
+            assert_results_identical(routed.search(query, k=6), want)
+            # The lone-query path, router off and on, via a batch of one.
+            for batch in batches:
+                assert_results_identical(lone_batch(batch, query, k=6), want)
 
     @pytest.mark.parametrize("chunker_name", sorted(CHUNKER_FACTORIES))
     def test_batch_engine(self, tiny_collection, chunker_name):
-        """Batch + router must equal batch flat bit for bit: both rank by
-        the direct-form kernel, so routing changes nothing observable."""
+        """Batch + router must equal batch flat bit for bit.  Flat batch
+        ranking uses the gemm kernel and the router the direct form, so
+        centroid distances may differ in the last bit; on these inputs
+        that changes no scan order and no completion decision."""
         index = make_index(tiny_collection, chunker_name)
         router = CentroidRouter.from_index(index)
         queries = make_queries(10, tiny_collection.dimensions)
@@ -287,6 +322,7 @@ class TestChunkCacheEquivalence:
         queries = make_queries(10, tiny_collection.dimensions, seed=29)
         model_a = self._model()
         model_b = self._model()
+        model_c = self._model()
         sequential = ChunkSearcher(index, cost_model=model_a)
         want = [sequential.search(q, k=5) for q in queries]
         batch = BatchChunkSearcher(index, cost_model=model_b).search_batch(
@@ -298,6 +334,15 @@ class TestChunkCacheEquivalence:
         assert model_b.chunk_cache.hits == model_a.chunk_cache.hits
         assert model_b.chunk_cache.misses == model_a.chunk_cache.misses
         assert model_b.chunk_cache.hits > 0
+        # Batches of one run the lone-query path: bit-identical, and the
+        # same cache traffic.
+        lone = BatchChunkSearcher(index, cost_model=model_c)
+        for i, query in enumerate(queries):
+            assert_results_identical(
+                lone_batch(lone, query, k=5, query_index=i), want[i]
+            )
+        assert model_c.chunk_cache.hits == model_a.chunk_cache.hits
+        assert model_c.chunk_cache.misses == model_a.chunk_cache.misses
 
     def test_batch_matches_sequential_under_faults(self, tiny_collection):
         index = make_index(tiny_collection, "srtree")
@@ -313,6 +358,10 @@ class TestChunkCacheEquivalence:
         assert len(batch) == len(want)
         for got_result, want_result in zip(batch, want):
             assert_results_equivalent(got_result, want_result)
+        lone = BatchChunkSearcher(index, cost_model=self._model())
+        for i, query in enumerate(queries):
+            one = lone_batch(lone, query, k=5, faults=injector(0.25), query_index=i)
+            assert_results_identical(one, want[i])
 
     def test_warm_batch_is_simulated_faster(self, tiny_collection):
         index = make_index(tiny_collection, "srtree")
